@@ -120,6 +120,7 @@ def test_filter_diacritic_subset():
 
 # --- end-to-end (A1-A3) ---------------------------------------------------
 
+@pytest.mark.requires_corpus
 def test_detect_basic(det):
     assert det.detect("languages are awesome") == "en"
     assert det.detect("los idiomas son maravillosos") == "es"
@@ -150,6 +151,7 @@ def test_minimum_relative_distance(small_models_dir):
         assert strict.detect("to be or not to be") == "unknown"
 
 
+@pytest.mark.requires_corpus
 def test_low_accuracy_mode(small_models_dir):
     langs = ("en", "de", "es", "fr", "zh")
     models = load_dict_models(small_models_dir, langs)
@@ -160,6 +162,7 @@ def test_low_accuracy_mode(small_models_dir):
     assert low.detect("ab") == "unknown"
 
 
+@pytest.mark.requires_corpus
 def test_corpus_sample_accuracy(small_models_dir):
     """Detection over held-in corpus lines must be highly accurate."""
     from tiny_lingua_ray.models.train import CORPUS_DIR

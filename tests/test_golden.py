@@ -13,22 +13,27 @@ from __future__ import annotations
 
 import pytest
 
+# real-language expectations: skipped without the accuracy corpus
+_corpus = pytest.mark.requires_corpus
+
 GOLDEN_SINGLE = [
     ("", "unknown"),
     ("...", "unknown"),
-    ("this is a short test", "en"),
-    ("Ein kurzer Satz", "de"),
-    (
+    pytest.param("this is a short test", "en", marks=_corpus),
+    pytest.param("Ein kurzer Satz", "de", marks=_corpus),
+    pytest.param(
         "Lederen underretter løbende bestyrelsen om personaleforholdene i "
         "institutionen.",
         "da",
+        marks=_corpus,
     ),
-    ("Actualmente esta alquilado con buena renta.", "es"),
-    (
+    pytest.param("Actualmente esta alquilado con buena renta.", "es", marks=_corpus),
+    pytest.param(
         "A dirlo è Jamil Sadegholvaad, assessore alla Sicurezza, in relazione "
         "agli atti vandalici e l’occupazione della palazzina ex Sert tra "
         "lanci di sedie e biciclette nella notte tra sabato e domenica.",
         "it",
+        marks=_corpus,
     ),
     (
         "口コミサイトには、審査に関しての細かい内容を口コミと一緒に記載している"
@@ -36,10 +41,11 @@ GOLDEN_SINGLE = [
         "ぜひ見ておいてください。",
         "ja",
     ),
-    (
+    pytest.param(
         "Alijipangia kulinganisha uaminifu kwa kanuni na mabadiliko ya "
         "shirika, akionyesha hayo hayaendi kinyume cha nia ya mwanzilishi.",
         "sw",
+        marks=_corpus,
     ),
 ]
 
@@ -51,25 +57,29 @@ GOLDEN_SINGLE = [
 GOLDEN_MULTI_EXACT = [
     ("", []),
     ("....", []),
-    ("a", [(0, 1, 1, "so")]),
-    ("this is a test", [(0, 14, 11, "en")]),
-    (
+    pytest.param("a", [(0, 1, 1, "so")], marks=_corpus),
+    pytest.param("this is a test", [(0, 14, 11, "en")], marks=_corpus),
+    pytest.param(
         "Don't isn't it won't do they don't 'und hier ein Teil der in "
         "Deutsch geschrieben ist' can't it doesn't couldn't",
         [(0, 34, 24, "en"), (36, 84, 40, "de"), (86, 111, 19, "en")],
+        marks=_corpus,
     ),
-    (
+    pytest.param(
         "First sentence\nsecond sentence\nthird sentence\n"
         "Aber der letzte Satz ist in Deutsch",
         [(0, 45, 40, "en"), (46, 81, 29, "de")],
+        marks=_corpus,
     ),
-    (
+    pytest.param(
         'Frost walker\'s Turkish should be "Buzlaştırıcı Yürüyücü"',
         [(0, 32, 27, "en"), (34, 55, 20, "tr")],
+        marks=_corpus,
     ),
-    (
+    pytest.param(
         "выдает такую ошибку Error Code: UNKNOWN code: Deep Ocean",
         [(0, 20, 17, "ru"), (20, 56, 30, "en")],
+        marks=_corpus,
     ),
 ]
 
@@ -89,21 +99,24 @@ GOLDEN_MULTI_EXACT = [
 # first fixture (threshold 0.9325; upstream 0.77), so the residual is
 # purely the unavailable upstream model values, not our pipeline.
 GOLDEN_MULTI_MODEL_SENSITIVE = [
-    (
+    pytest.param(
         "Hallo das ist ein Test mit ein paar Wörtern: But what if the text "
         "also contained English as part of the sentence?",
         [(0, 112, 90, "en")],  # reference: de(0-43) + en(45-112)
+        marks=_corpus,
     ),
-    (
+    pytest.param(
         'He turned around and asked: "Entschuldigen Sie, sprechen Sie '
         'Deutsch?"',
         [(0, 68, 56, "de")],  # reference: en(0-26) + de(29-68)
+        marks=_corpus,
     ),
-    (
+    pytest.param(
         "When he came into the room, he greeted the others with "
         '"Hallo zusammen, wie geht es euch?" and sat down on a free chair.',
         # reference: en(0-54) + de(56-88) + en(91-119); the en head matches
         [(0, 54, 43, "en"), (56, 119, 48, "de")],
+        marks=_corpus,
     ),
 ]
 
@@ -121,6 +134,7 @@ def test_golden_top1(full_detector, text, expected):
     assert full_detector.detect(text) == expected
 
 
+@_corpus
 def test_golden_best_confidence_is_one(full_detector):
     conf = full_detector.confidence_values("this is a short test")
     assert conf[0] == ("en", 1.0)
@@ -148,6 +162,7 @@ def test_golden_multilang_model_sensitive(full_detector, text, pinned):
     assert got == pinned, f"{got} for {text!r}"
 
 
+@_corpus
 def test_multilang_sections_carry_confidences(full_detector):
     """Per-section confidence values (api/LanguageDetector.kt:147-170):
     sorted desc, best = 1.0, rule-resolved sections = [(lang, 1.0)]."""

@@ -169,6 +169,7 @@ def test_emit_confidences_matches_pure_detector(small_models_dir):
             assert got[0]["conf"] == 1.0  # best is always exactly 1.0
 
 
+@pytest.mark.requires_corpus
 def test_emit_iso3_column(small_models_dir):
     scorer = LangIdScorer(
         models_dir=str(small_models_dir),

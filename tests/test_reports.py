@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 
+@pytest.mark.requires_corpus
 def test_accuracy_report_limited(ray_session, models_dir, tmp_path):
     from tiny_lingua_ray.pipelines.accuracy_report import (
         run_accuracy_report,
@@ -63,6 +64,35 @@ def test_train_splits_marker(tmp_path):
     marker.unlink()
     ensure_models(d, languages=("en",), use_ray=False)
     assert marker.exists()
+
+
+def test_ensure_models_refuses_empty_corpus(tmp_path, monkeypatch):
+    """A corpus without lines for a language must raise, not train 0-row
+    tables that score every text 'unknown'; a 0-row table already in the
+    cache is not adopted as built."""
+    from tiny_lingua_ray.models import train as mtrain
+
+    monkeypatch.setattr(mtrain, "CORPUS_DIR", tmp_path / "missing")
+    with pytest.raises(mtrain.CorpusNotFoundError, match="does not exist"):
+        mtrain.ensure_models(tmp_path / "m0", languages=("en",), use_ray=False)
+
+    empty = tmp_path / "corpus"
+    (empty / "sentences").mkdir(parents=True)
+    monkeypatch.setattr(mtrain, "CORPUS_DIR", empty)
+    d = tmp_path / "models"
+    with pytest.raises(mtrain.CorpusNotFoundError, match="'en'"):
+        mtrain.ensure_models(d, languages=("en",), use_ray=False)
+    assert not (d / "en" / "low.parquet").exists()
+
+    mtrain._write_model_file(d / "en" / "low.parquet", {})
+    mtrain._write_model_file(d / "en" / "high.parquet", {})
+    with pytest.raises(mtrain.CorpusNotFoundError):
+        mtrain.ensure_models(d, languages=("en",), use_ray=False)
+
+    from tiny_lingua_ray.models import fast_text
+
+    with pytest.raises(mtrain.CorpusNotFoundError, match="fastText"):
+        fast_text.train(("en",))
 
 
 def test_weighted_split_counting_matches_duplicated_lines(tmp_path, monkeypatch):
@@ -138,6 +168,7 @@ def test_conformance_report_pinned_band():
     assert d["delta_low"].min() >= -12
 
 
+@pytest.mark.requires_corpus
 def test_multilang_sections(models_dir):
     from pathlib import Path
 

@@ -147,6 +147,7 @@ def test_jaccard():
 
 # --- perplexity -----------------------------------------------------------
 
+@pytest.mark.requires_corpus
 def test_perplexity_in_domain_lower(small_models_dir):
     from tiny_lingua_ray.stages.perplexity import PerplexityScorer
 

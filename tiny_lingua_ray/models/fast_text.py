@@ -10,8 +10,9 @@ and no gradient framework exists in this sandbox.  Documented gap:
 pretrained lid.176 weights are not downloadable offline
 (models/__init__.py).
 
-Trained on the reference accuracy corpus (sentences + word-pairs);
-cached as an .npz per machine.
+Trained on the accuracy corpus (models/train.CORPUS_DIR, sentences +
+word-pairs); cached as raw .npy arrays under MODEL_DIR, which
+``TLR_FASTTEXT_DIR`` redirects.
 """
 
 from __future__ import annotations
@@ -21,14 +22,16 @@ import os
 import numpy as np
 
 from tiny_lingua_ray.languages import ALL_ISO1
-from tiny_lingua_ray.models.train import CORPUS_DIR, fnv1a_64
+from tiny_lingua_ray.models.train import corpus_lines, fnv1a_64, no_corpus_lines
 
 DIM = 1 << 17
 NGRAM_RANGE = (2, 4)
 ALPHA = 0.5
 LINES_PER_FILE = 500
 MODEL_VERSION = "v2"
-MODEL_DIR = f"/tmp/tlr_models/fasttext_{MODEL_VERSION}"
+MODEL_DIR = os.environ.get(
+    "TLR_FASTTEXT_DIR", f"/tmp/tlr_models/fasttext_{MODEL_VERSION}"
+)
 
 
 def features(text: str, dim: int = DIM) -> np.ndarray:
@@ -51,19 +54,12 @@ def train(languages=ALL_ISO1, alpha: float = ALPHA,
     for li, lang in enumerate(languages):
         ids_all: list[np.ndarray] = []
         for split in ("sentences", "word-pairs"):
-            f = CORPUS_DIR / split / f"{lang}.txt"
-            if not f.exists():
-                continue
-            lines = [
-                ln
-                for ln in f.read_text(encoding="utf-8").splitlines()
-                if ln
-            ][:lines_per_file]
-            for ln in lines:
+            for ln in corpus_lines(lang, (split,))[:lines_per_file]:
                 ids_all.append(features(ln))
-        if ids_all:
-            concat = np.concatenate(ids_all)
-            counts[:, li] = np.bincount(concat, minlength=DIM)
+        if not ids_all:
+            # an all-zero column would give the language uniform weights
+            raise no_corpus_lines(f"language {lang!r} (fastText)")
+        counts[:, li] = np.bincount(np.concatenate(ids_all), minlength=DIM)
     totals = counts.sum(axis=0)
     W = np.log((counts + alpha) / (totals[None, :] + alpha * DIM))
     return {"W": W.astype(np.float32), "languages": np.array(languages)}
@@ -76,11 +72,12 @@ def ensure_fasttext_model(languages=ALL_ISO1) -> dict:
     if os.path.exists(w_f) and os.path.exists(l_f):
         try:
             langs = np.load(l_f, allow_pickle=False)
-            if list(langs) == list(languages):
-                return {
-                    "W": np.load(w_f, allow_pickle=False, mmap_mode="r"),
-                    "languages": langs,
-                }
+            W = np.load(w_f, allow_pickle=False, mmap_mode="r")
+            # a language trained on no lines has the constant column
+            # log(1/DIM); such a cache is retrained (and refused), not used
+            untrained = np.any(W[0] == np.float32(-np.log(DIM)))
+            if list(langs) == list(languages) and not untrained:
+                return {"W": W, "languages": langs}
         except (OSError, ValueError):
             pass
     model = train(languages)

@@ -29,6 +29,20 @@ from tiny_lingua_ray.detector import clean_up_input_text
 from tiny_lingua_ray.languages import ALL_ISO1
 
 CORPUS_DIR = Path("/root/reference/src/accuracyReport/resources/language-testdata")
+# The one place the corpus location is resolved (sources/cc_pages,
+# pipelines/accuracy_report and models/fast_text read it from here).
+# ``TLR_CORPUS_DIR`` redirects it, as ``TLR_MODELS_DIR`` redirects the
+# model tables.
+CORPUS_DIR = Path(os.environ.get("TLR_CORPUS_DIR") or CORPUS_DIR)
+
+
+class CorpusNotFoundError(FileNotFoundError):
+    """The accuracy corpus is missing, or holds no lines for a language.
+
+    Raised instead of training 0-row models (every text would then score
+    ``unknown``) or dividing by an empty corpus downstream."""
+
+
 # Round 5 (VERDICT r4 item 5): PER-MODE training mixtures.  The
 # reference loads different model ARTIFACTS per accuracy mode (low =
 # trigram-only files, high = uni..five files —
@@ -212,6 +226,13 @@ def corpus_lines(iso1: str, splits=DEFAULT_TRAIN_SPLITS) -> list[str]:
     return lines
 
 
+def no_corpus_lines(what: str) -> CorpusNotFoundError:
+    return CorpusNotFoundError(
+        f"no corpus lines for {what} under {CORPUS_DIR} "
+        "(set TLR_CORPUS_DIR to the accuracy corpus directory)"
+    )
+
+
 def train_language(iso1: str, out_dir: Path, splits=DEFAULT_TRAIN_SPLITS) -> None:
     # A split listed k times contributes k-fold counts.  Count each
     # UNIQUE split once and scale its counts by the weight — integer
@@ -219,8 +240,11 @@ def train_language(iso1: str, out_dir: Path, splits=DEFAULT_TRAIN_SPLITS) -> Non
     # duplicating the lines, at 1/k the read + tokenize work (the low
     # mixture lists 19 entries over 3 distinct files).
     totals: list[Counter] = [Counter() for _ in range(6)]
+    n_lines = 0
     for split, w in Counter(splits).items():
-        counts = count_ngrams(corpus_lines(iso1, (split,)))
+        lines = corpus_lines(iso1, (split,))
+        n_lines += len(lines)
+        counts = count_ngrams(lines)
         for n in range(1, 6):
             if w == 1:
                 totals[n].update(counts[n])
@@ -228,6 +252,8 @@ def train_language(iso1: str, out_dir: Path, splits=DEFAULT_TRAIN_SPLITS) -> Non
                 tn = totals[n]
                 for g, c in counts[n].items():
                     tn[g] += c * w
+    if not n_lines:
+        raise no_corpus_lines(f"language {iso1!r} (splits {sorted(set(splits))})")
     freqs = relative_frequencies(totals)
     low = {g: f for g, f in freqs.items() if len(g) <= 3}
     high = {g: f for g, f in freqs.items() if len(g) >= 4}
@@ -266,12 +292,7 @@ def ensure_models(
     out = models_dir or default_models_dir(low_mode)
     splits = LOW_MODE_TRAIN_SPLITS if low_mode else DEFAULT_TRAIN_SPLITS
     _check_splits_marker(out, splits)
-    missing = [
-        l
-        for l in languages
-        if not (out / l / "low.parquet").exists()
-        or not (out / l / "high.parquet").exists()
-    ]
+    missing = [l for l in languages if not _is_built(out / l)]
     if not missing:
         if tuple(languages) == tuple(ALL_ISO1):
             # cheap no-op when current; rebuilds after a cache-version bump
@@ -279,6 +300,11 @@ def ensure_models(
 
             build_resolved_cache(out, languages)
         return out
+    if not CORPUS_DIR.is_dir():
+        raise CorpusNotFoundError(
+            f"cannot train models for {len(missing)} language(s): corpus "
+            f"directory {CORPUS_DIR} does not exist (set TLR_CORPUS_DIR)"
+        )
 
     if use_ray is None:
         try:
@@ -313,6 +339,16 @@ def ensure_models(
 
         build_resolved_cache(out, languages)
     return out
+
+
+def _is_built(lang_dir: Path) -> bool:
+    """Both tables present and the low one non-empty.  Any text with a
+    letter yields unigrams, so a 0-row low table can only come from an
+    empty corpus — it is retrained (and raises) instead of adopted."""
+    low = lang_dir / "low.parquet"
+    if not low.exists() or not (lang_dir / "high.parquet").exists():
+        return False
+    return pq.read_metadata(low).num_rows > 0
 
 
 def _check_splits_marker(out: Path, splits: tuple[str, ...]) -> None:

@@ -24,8 +24,8 @@ import pandas as pd
 import pyarrow as pa
 
 from tiny_lingua_ray.languages import ALL_ISO1, BY_ISO1
+from tiny_lingua_ray.models.train import corpus_lines, no_corpus_lines
 
-CORPUS_DIR = Path("/root/reference/src/accuracyReport/resources/language-testdata")
 SPLITS = ("single-words", "word-pairs", "sentences")
 
 
@@ -34,25 +34,24 @@ def corpus_dataset(
     limit_per_file: int | None = None,
     use_splits=SPLITS,
 ):
-    """Corpus Dataset with columns (text, true_lang, split)."""
+    """Corpus Dataset with columns (text, true_lang, split), read from
+    models/train.CORPUS_DIR; raises CorpusNotFoundError when it holds no
+    line for the requested languages and splits."""
     import ray.data as rd
 
     texts, langs, splits = [], [], []
     for split in use_splits:
         for lang in languages:
-            f = CORPUS_DIR / split / f"{lang}.txt"
-            if not f.exists():
-                continue
-            lines = [
-                ln
-                for ln in f.read_text(encoding="utf-8").splitlines()
-                if ln
-            ]
+            lines = corpus_lines(lang, (split,))
             if limit_per_file:
                 lines = lines[:limit_per_file]
             texts.extend(lines)
             langs.extend([lang] * len(lines))
             splits.extend([split] * len(lines))
+    if not texts:
+        raise no_corpus_lines(
+            f"languages {list(languages)}, splits {list(use_splits)}"
+        )
     table = pa.table(
         {
             "text": pa.array(texts, pa.string()),

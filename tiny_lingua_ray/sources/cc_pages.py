@@ -3,10 +3,11 @@
 Schema (exactly the input_hint shape):
     url:string  warc_ts:timestamp[us]  html:binary  text:string  lang:string
 
-Texts are drawn deterministically from the reference accuracy corpus
-(75 languages x 3 splits), plus adversarial rows (FIXTURES.md F1): empty,
-digits/punct-only, short (<120 chars) and long (>=120) texts, CJK, mixed
-script, diacritics, PII-bearing, and low-quality/boilerplate rows.
+Texts are drawn deterministically from the accuracy corpus
+(models/train.CORPUS_DIR: 75 languages x 3 splits), plus adversarial rows
+(FIXTURES.md F1): empty, digits/punct-only, short (<120 chars) and long
+(>=120) texts, CJK, mixed script, diacritics, PII-bearing, and
+low-quality/boilerplate rows.
 Domains are Zipf-skewed to exercise domain-hash shuffles.
 
 The generator streams: ``build_cc_pages`` writes a partitioned Parquet
@@ -25,7 +26,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 
-CORPUS_DIR = Path("/root/reference/src/accuracyReport/resources/language-testdata")
+from tiny_lingua_ray.models.train import CORPUS_DIR, no_corpus_lines
 
 HTML_PREFIX = b"<html><head><title>t</title></head><body><p>"
 HTML_SUFFIX = b"</p></body></html>"
@@ -59,6 +60,8 @@ def _load_corpus_texts() -> list[tuple[str, str]]:
             for ln in f.read_text(encoding="utf-8").splitlines():
                 if ln:
                     out.append((ln, lang))
+    if not out:
+        raise no_corpus_lines("any language")
     return out
 
 
@@ -80,9 +83,13 @@ def make_shard(
     rows_per_shard: int,
     corpus: list[tuple[str, str]] | None = None,
 ) -> pa.Table:
-    """One deterministic shard of cc_pages rows."""
-    corpus = corpus or _load_corpus_texts()
+    """One deterministic shard of cc_pages rows (``corpus`` defaults to
+    every line of the accuracy corpus)."""
+    if corpus is None:
+        corpus = _load_corpus_texts()
     n_corpus = len(corpus)
+    if not n_corpus:
+        raise ValueError("make_shard needs a non-empty corpus")
     urls, tss, htmls, texts, langs = [], [], [], [], []
     base = shard * rows_per_shard
     for k in range(rows_per_shard):
@@ -145,22 +152,25 @@ def build_cc_pages(
         except ImportError:
             use_ray = False
 
+    # read (and check) the corpus once on the driver; Ray tasks share it
+    # through the object store
+    corpus = _load_corpus_texts()
     if use_ray:
         import ray
 
         @ray.remote(num_cpus=1)
-        def _w(s: int, rows: int, f: str) -> None:
-            _write_shard(s, rows, Path(f))
+        def _w(s: int, rows: int, f: str, corpus) -> None:
+            _write_shard(s, rows, Path(f), corpus)
 
-        ray.get([_w.remote(s, r, str(f)) for s, r, f in todo])
+        ref = ray.put(corpus)
+        ray.get([_w.remote(s, r, str(f), ref) for s, r, f in todo])
     else:
-        corpus = _load_corpus_texts()
         for s, rows, f in todo:
             _write_shard(s, rows, f, corpus)
     return out
 
 
-def _write_shard(s: int, rows: int, f: Path, corpus=None) -> None:
+def _write_shard(s: int, rows: int, f: Path, corpus) -> None:
     t = make_shard(s, rows, corpus)
     tmp = f.with_suffix(".tmp")
     pq.write_table(t, tmp)
